@@ -34,26 +34,23 @@ func newClient(conns int) *http.Client {
 	}}
 }
 
-// phase drives reqs against the server from clients closed-loop workers,
+// phase sends n requests to the server from clients closed-loop workers,
 // each sending its next request only after the previous one completed.
-// Workers take requests in order from a shared counter; the phase ends
-// when every request was sent once (window == 0), or after window, when
-// the workers start no new request and the in-flight ones complete. A
-// timed phase that would wrap past the end of reqs fails unless cycle is
-// set. expect, when non-nil, holds the body each request must return: a
-// response equal to it is recorded without its bytes.
+// Workers claim the indexes 0 to n-1 in order from a shared counter and
+// send reqs[k % len(reqs)] for index k, so every claimed index is sent and
+// the phase does the same work however fast the server is. expect, when
+// non-nil, holds the body each request must return: a response equal to
+// it is recorded without its bytes.
 func phase(ctx context.Context, client *http.Client, base string, reqs []request,
-	clients int, window time.Duration, cycle bool, expect [][]byte) ([]sample, time.Duration, error) {
+	clients, n int, expect [][]byte) ([]sample, time.Duration, error) {
 
 	var (
-		next      atomic.Int64
-		exhausted atomic.Bool
-		mu        sync.Mutex
-		samples   []sample
-		wg        sync.WaitGroup
+		next    atomic.Int64
+		mu      sync.Mutex
+		samples []sample
+		wg      sync.WaitGroup
 	)
 	start := time.Now()
-	deadline := start.Add(window)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
@@ -61,17 +58,8 @@ func phase(ctx context.Context, client *http.Client, base string, reqs []request
 			var local []sample
 			for ctx.Err() == nil {
 				k := int(next.Add(1) - 1)
-				if window > 0 && !time.Now().Before(deadline) {
+				if k >= n {
 					break
-				}
-				if k >= len(reqs) {
-					if window == 0 {
-						break
-					}
-					if !cycle {
-						exhausted.Store(true)
-						break
-					}
 				}
 				idx := k % len(reqs)
 				var want []byte
@@ -86,11 +74,7 @@ func phase(ctx context.Context, client *http.Client, base string, reqs []request
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	if exhausted.Load() {
-		return nil, 0, fmt.Errorf("request pool of %d distinct requests exhausted in %v", len(reqs), window)
-	}
-	return samples, elapsed, ctx.Err()
+	return samples, time.Since(start), ctx.Err()
 }
 
 // send posts one request and reads the whole response.

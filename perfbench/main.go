@@ -7,6 +7,12 @@
 //	perfbench --dtserve bin/dtserve --workdir .bench_build \
 //	    --workload warm_hit --seed 1 --seconds 20 --trace 0
 //
+// --seconds sets the timed phase's request count, not its duration: each
+// workload sends a fixed number of requests per second of --seconds (its
+// throughput when the benchmark was defined), so every run does the same
+// work whatever the server's speed, and throughput_rps is the successful
+// requests over the elapsed time.
+//
 // perfbench spread FILE... reads result lines (one run per line) and
 // prints each metric's median and interquartile spread.
 package main
@@ -35,7 +41,7 @@ func main() {
 	cfg := config{tailQ: 0.99, clients: runtime.NumCPU()}
 	flag.StringVar(&cfg.workload, "workload", "", "workload: warm_hit, cold_sa or cold_hlf_large")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload generation seed")
-	flag.IntVar(&cfg.seconds, "seconds", 20, "timed window in seconds")
+	flag.IntVar(&cfg.seconds, "seconds", 20, "timed phase length: each workload sends its per-second request count this many times")
 	trace := flag.Int("trace", 0, "1 reports the per-layer metrics of a traced run, 0 the end-to-end metrics")
 	flag.StringVar(&cfg.dtserve, "dtserve", "", "path of the dtserve binary to benchmark")
 	flag.StringVar(&cfg.workdir, "workdir", "", "scratch directory for cache tiers and span files")

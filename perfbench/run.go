@@ -12,15 +12,6 @@ import (
 	"repro/internal/service"
 )
 
-const (
-	// setups is how often a run starts (and, on warm_hit, seeds) a fresh
-	// server; setup_s is their median.
-	setups = 3
-	// warmup is the untimed load before the timed window, so lazy
-	// start-up work in the server is done before the clock starts.
-	warmup = time.Second
-)
-
 type config struct {
 	workload string
 	seed     int64
@@ -47,8 +38,10 @@ type result struct {
 	Metrics   map[string]value `json:"metrics"`
 }
 
-// run benchmarks one workload: set-ups, a warm-up, the timed window, the
-// response checks and, with cfg.trace, the traced replay.
+// run benchmarks one workload: set-ups, a warm-up, the timed phase, the
+// response checks and, with cfg.trace, the traced replay. The warm-up is
+// untimed load, so lazy start-up work in the server is done before the
+// clock starts.
 func run(ctx context.Context, cfg config) (*result, error) {
 	w, err := generate(cfg.workload, cfg.seed, cfg.seconds)
 	if err != nil {
@@ -65,7 +58,7 @@ func run(ctx context.Context, cfg config) (*result, error) {
 		return nil, err
 	}
 	defer srv.stop()
-	attempted := setups * len(seeded)
+	attempted := w.setups * len(seeded)
 	answers := map[*request]answer{}
 	var seedBody [][]byte // warm_hit: the validated body of each request
 	if w.setup != nil {
@@ -78,15 +71,16 @@ func run(ctx context.Context, cfg config) (*result, error) {
 
 	client := newClient(cfg.clients)
 	defer client.CloseIdleConnections()
-	// Warm-up, then the timed window on the requests after it. The
-	// warm_hit requests cycle; a cold workload moves on to fresh keys.
-	warmSamples, _, err := phase(ctx, client, srv.base, w.timed, cfg.clients, warmup, w.cycle, seedBody)
+	// Warm-up, then the timed phase. The warm_hit requests cycle from the
+	// head in both; a cold workload's timed phase moves on to the keys
+	// after the warm-up's.
+	warmReqs, timedReqs := w.timed, w.timed
+	if !w.cycle {
+		warmReqs, timedReqs = w.timed[:w.warmup], w.timed[w.warmup:]
+	}
+	warmSamples, _, err := phase(ctx, client, srv.base, warmReqs, cfg.clients, w.warmup, seedBody)
 	if err != nil {
 		return nil, err
-	}
-	timedReqs := w.timed
-	if !w.cycle {
-		timedReqs = w.timed[nextIndex(warmSamples):]
 	}
 	st0, err := srv.stats(ctx, client)
 	if err != nil {
@@ -96,8 +90,7 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	timed, elapsed, err := phase(ctx, client, srv.base, timedReqs, cfg.clients,
-		time.Duration(cfg.seconds)*time.Second, w.cycle, seedBody)
+	timed, elapsed, err := phase(ctx, client, srv.base, timedReqs, cfg.clients, w.count, seedBody)
 	if err != nil {
 		return nil, err
 	}
@@ -117,25 +110,25 @@ func run(ctx context.Context, cfg config) (*result, error) {
 		return nil, err
 	}
 
-	// Every response is checked now, outside the timed window.
+	// Every response is checked now, outside the timed phase.
 	expected := seedBody != nil
 	attempted += len(warmSamples) + len(timed)
-	chk.samples(w.timed, warmSamples, w.wantTag, expected)
+	chk.samples(warmReqs, warmSamples, w.wantTag, expected)
 	chk.samples(timedReqs, timed, w.wantTag, expected)
 	if err := service.CheckLaw(st1); err != nil {
 		chk.fail(err)
 	}
 	switch {
 	case w.wantTag == "hit" && st1.Solves != st0.Solves:
-		chk.fail(fmt.Errorf("%d solves in the timed window of a warm workload", st1.Solves-st0.Solves))
+		chk.fail(fmt.Errorf("%d solves in the timed phase of a warm workload", st1.Solves-st0.Solves))
 	case w.wantTag == "miss" && st1.Cache.Hits != st0.Cache.Hits:
-		chk.fail(fmt.Errorf("%d memory hits in the timed window of a cold workload", st1.Cache.Hits-st0.Cache.Hits))
+		chk.fail(fmt.Errorf("%d memory hits in the timed phase of a cold workload", st1.Cache.Hits-st0.Cache.Hits))
 	}
 	if !expected {
 		for _, set := range []struct {
 			reqs []request
 			ss   []sample
-		}{{w.timed, warmSamples}, {timedReqs, timed}} {
+		}{{warmReqs, warmSamples}, {timedReqs, timed}} {
 			for _, s := range set.ss {
 				answers[&set.reqs[s.idx]] = answer{body: s.body, address: s.address}
 			}
@@ -154,7 +147,7 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	p50 := percentile(lat, 0.5)
 	p99, err := tailPercentile(lat, cfg.tailQ)
 	if err != nil {
-		return nil, fmt.Errorf("%s timed window: %w", w.name, err)
+		return nil, fmt.Errorf("%s timed phase: %w", w.name, err)
 	}
 	fmt.Fprintf(os.Stderr, "%s seed %d: %d timed requests in %.2fs, p50 %.3fms p%g %.3fms (%d samples beyond it)\n",
 		w.name, cfg.seed, len(lat), elapsed.Seconds(), p50, 100*cfg.tailQ, p99, beyond(len(lat), cfg.tailQ))
@@ -210,7 +203,7 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	return out, nil
 }
 
-// setUp starts setups fresh servers one after another, stopping each
+// setUp starts w.setups fresh servers one after another, stopping each
 // before the next, and returns the last with every set-up's duration. On
 // warm_hit each set-up solves the whole distinct set; the set-ups' answers
 // are checked and must be byte-identical, and the last one's are returned.
@@ -222,7 +215,7 @@ func setUp(ctx context.Context, cfg config, w *workload, dir string, chk *checke
 		err   error
 		cache = filepath.Join(dir, "cache")
 	)
-	for i := 0; i < setups; i++ {
+	for i := 0; i < w.setups; i++ {
 		if srv != nil {
 			if err := srv.stop(); err != nil {
 				return nil, nil, nil, err
@@ -235,7 +228,7 @@ func setUp(ctx context.Context, cfg config, w *workload, dir string, chk *checke
 		var seeded []sample
 		if w.setup != nil {
 			client := newClient(cfg.clients)
-			seeded, _, err = phase(ctx, client, srv.base, w.setup, cfg.clients, 0, false, nil)
+			seeded, _, err = phase(ctx, client, srv.base, w.setup, cfg.clients, len(w.setup), nil)
 			client.CloseIdleConnections()
 			if err != nil {
 				srv.stop()
@@ -254,15 +247,6 @@ func setUp(ctx context.Context, cfg config, w *workload, dir string, chk *checke
 		prev = seeded
 	}
 	return srv, durs, prev, nil
-}
-
-// nextIndex returns the index after the highest request a phase sent.
-func nextIndex(ss []sample) int {
-	n := 0
-	for _, s := range ss {
-		n = max(n, s.idx+1)
-	}
-	return n
 }
 
 func expired(st service.Stats) uint64 {

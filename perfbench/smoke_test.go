@@ -21,8 +21,8 @@ func buildServer(t *testing.T) string {
 
 func smokeRun(t *testing.T, bin, workload string, trace bool) *result {
 	t.Helper()
-	// A one-second window is too short for a p99 with ten samples beyond
-	// it, so the smoke runs report the median as their tail.
+	// A one-second timed phase is too short for a p99 with ten samples
+	// beyond it, so the smoke runs report the median as their tail.
 	res, err := run(context.Background(), config{workload: workload, seed: heldOutSeed, seconds: 1,
 		trace: trace, dtserve: bin, workdir: t.TempDir(), clients: runtime.NumCPU(), tailQ: 0.5})
 	if err != nil {

@@ -34,11 +34,21 @@ const (
 	// warmDistinct is the number of distinct warm_hit requests: the 12
 	// paper cells plus seeded layered DAGs.
 	warmDistinct = 240
-	// coldPoolPerSecond sizes a cold workload's pool of distinct requests
-	// per second of timed window. It is far above the rate either cold
-	// workload reaches, so the window never runs out of cold keys; a run
-	// that does is refused rather than served from the cache.
-	coldPoolPerSecond = 4000
+	// warmRate, coldSARate and coldHLFRate are the requests a run sends
+	// per second of --seconds: about the throughput of each workload on a
+	// 2-vCPU x86 host when the benchmark was defined. A run sends this
+	// many requests as its warm-up and seconds times as many in its timed
+	// phase, whatever the server's speed, so it always ends with the same
+	// cached state and a faster server shows as a shorter timed phase.
+	warmRate    = 720
+	coldSARate  = 165
+	coldHLFRate = 62
+	// warmSetups and coldSetups are how often a run starts a fresh
+	// server; setup_s is the median. A warm_hit set-up also solves the
+	// whole distinct set, so it takes seconds; a cold one takes
+	// milliseconds, and more of them steady the median.
+	warmSetups = 5
+	coldSetups = 15
 	// qualitySA and qualityHLF are the sizes of the fixed request prefixes
 	// the cold workloads' quality metrics cover.
 	qualitySA  = 48
@@ -84,10 +94,17 @@ type workload struct {
 	solver string
 	// setup are the requests solved before the clock starts (warm_hit).
 	setup []request
-	// timed is the request sequence of the timed window: the clients take
-	// requests in order, wrapping around only when cycle is set.
+	// timed is the request sequence of the warm-up and timed phases: the
+	// clients take requests in order. When cycle is set both phases start
+	// at its head and wrap around; otherwise it holds warmup+count
+	// distinct requests, the warm-up's first.
 	timed []request
 	cycle bool
+	// warmup and count are the numbers of requests the warm-up and the
+	// timed phase send.
+	warmup, count int
+	// setups is how often a run starts a fresh server.
+	setups int
 	// quality is the fixed request set the quality metrics cover.
 	quality []request
 	// wantTag is the X-DTServe-Cache tag every timed response must carry.
@@ -95,7 +112,8 @@ type workload struct {
 }
 
 // generate builds a workload's inputs from seed. The same name, seed and
-// seconds give a byte-identical payload set.
+// seconds give a byte-identical payload set; seconds sets the timed
+// phase's request count.
 func generate(name string, seed int64, seconds int) (*workload, error) {
 	rng := rand.New(rand.NewSource(seed))
 	switch name {
@@ -118,14 +136,16 @@ func generate(name string, seed int64, seconds int) (*workload, error) {
 		}
 		reqs := distinctRequests(rng, probs, len(probs), "sa")
 		return &workload{name: name, solver: "sa", setup: reqs, timed: reqs, cycle: true,
+			warmup: warmRate, count: warmRate * seconds, setups: warmSetups,
 			quality: reqs, wantTag: "hit"}, nil
 	case coldSA:
 		probs, err := paperProblems()
 		if err != nil {
 			return nil, err
 		}
-		reqs := distinctRequests(rng, probs, coldPoolPerSecond*seconds, "sa")
+		reqs := distinctRequests(rng, probs, coldSARate*(1+seconds), "sa")
 		return &workload{name: name, solver: "sa", timed: reqs,
+			warmup: coldSARate, count: coldSARate * seconds, setups: coldSetups,
 			quality: reqs[:qualitySA], wantTag: "miss"}, nil
 	case coldHLFLarge:
 		// 700 to 1300 tasks, widths 16 to 32 and expected in-degrees 2.5 to
@@ -148,8 +168,9 @@ func generate(name string, seed int64, seconds int) (*workload, error) {
 				probs = append(probs, p)
 			}
 		}
-		reqs := distinctRequests(rng, probs, coldPoolPerSecond*seconds, "hlf")
+		reqs := distinctRequests(rng, probs, coldHLFRate*(1+seconds), "hlf")
 		return &workload{name: name, solver: "hlf", timed: reqs,
+			warmup: coldHLFRate, count: coldHLFRate * seconds, setups: coldSetups,
 			quality: reqs[:qualityHLF], wantTag: "miss"}, nil
 	}
 	return nil, fmt.Errorf("unknown workload %q (want one of %v)", name, workloadNames)

@@ -50,6 +50,11 @@ func TestWorkloadShape(t *testing.T) {
 			n := r.prob.graph.NumTasks()
 			minTasks, maxTasks = min(minTasks, n), max(maxTasks, n)
 		}
+		// The warm-up sends one second's worth of requests, the timed phase
+		// seconds times as many, however fast the server answers.
+		if w.warmup < 1 || w.count != 2*w.warmup {
+			t.Errorf("%s: %d warm-up and %d timed requests for 2 seconds", name, w.warmup, w.count)
+		}
 		t.Logf("%s: %d requests, payloads %d..%d bytes, %d..%d tasks", name, len(w.timed), minSize, maxSize, minTasks, maxTasks)
 		switch name {
 		case warmHit:
@@ -57,12 +62,13 @@ func TestWorkloadShape(t *testing.T) {
 				t.Errorf("warm_hit: %d distinct, cycle %v, %d..%d tasks", len(w.setup), w.cycle, minTasks, maxTasks)
 			}
 		case coldSA:
-			if w.cycle || maxSize > 16<<10 || len(w.timed) < 2*coldPoolPerSecond {
+			if w.cycle || maxSize > 16<<10 || len(w.timed) != w.warmup+w.count {
 				t.Errorf("cold_sa: cycle %v, payloads up to %d bytes, pool %d", w.cycle, maxSize, len(w.timed))
 			}
 		case coldHLFLarge:
-			if w.cycle || minTasks < 600 || maxTasks > 1400 || minSize < 100<<10 || maxSize > 400<<10 {
-				t.Errorf("cold_hlf_large: %d..%d tasks, %d..%d bytes", minTasks, maxTasks, minSize, maxSize)
+			if w.cycle || len(w.timed) != w.warmup+w.count || minTasks < 600 || maxTasks > 1400 || minSize < 100<<10 || maxSize > 400<<10 {
+				t.Errorf("cold_hlf_large: cycle %v, pool %d, %d..%d tasks, %d..%d bytes",
+					w.cycle, len(w.timed), minTasks, maxTasks, minSize, maxSize)
 			}
 		}
 	}
