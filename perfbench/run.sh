@@ -10,7 +10,10 @@ set -euo pipefail
 
 root=$(pwd)
 out=$root/.bench_build
-mkdir -p "$out/bin" "$out/gocache" "$out/tmp" "$out/config"
+mkdir -p "$out/bin" "$out/gocache" "$out/tmp" "$out/config/go/telemetry"
+# With telemetry on, the go command forks a detached child that outlives
+# this script; turn it off so the benchmark leaves no process behind.
+printf 'off' > "$out/config/go/telemetry/mode"
 export GOCACHE=$out/gocache GOTMPDIR=$out/tmp GOPATH=$out/gopath XDG_CONFIG_HOME=$out/config
 export GOFLAGS= GOPROXY=off GOSUMDB=off GOTOOLCHAIN=local GOWORK=off
 
