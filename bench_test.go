@@ -227,7 +227,8 @@ func BenchmarkScheduleSA_NE_Hypercube(b *testing.B) {
 // BenchmarkScheduleSA_Cooperative anneals the Newton-Euler graph with
 // restarts sharing one incumbent (the Table 2 workload shape): dominated
 // restarts abandon early at stage barriers, so the restarted solve costs
-// less than restarts× the single run while keeping the same winner. The
+// less than restarts× the single run. Abandoning can change the winner,
+// so its schedule may differ from the plain restarted solve's. The
 // abandoned/op metric proves the incumbent rule is actually firing.
 func BenchmarkScheduleSA_Cooperative(b *testing.B) {
 	g := repro.NewtonEuler()

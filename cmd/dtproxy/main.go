@@ -2,8 +2,8 @@
 //
 //	dtproxy -addr :8000 -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
 //
-// Each schedule request's graph is fingerprinted with the zero-copy
-// canonicalizer (no full decode) and consistent-hashed across the
+// Each schedule request's graph is fingerprinted by the replicas' own
+// single-pass ingest scan (no graph built) and consistent-hashed across the
 // replicas, so every cache key's singleflight leadership lands on
 // exactly one node fleet-wide — N replicas' duplicate cold solves
 // collapse into one, and the shared dtcached tier replays it everywhere

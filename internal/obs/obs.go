@@ -19,8 +19,8 @@
 // scheduling jitter; Depth > 0 stages are sub-spans that overlap their
 // parent, e.g. portfolio members inside the solve stage):
 //
-//	decode        wire JSON -> ScheduleRequest
-//	canonicalize  validation, canonical graph encoding, fingerprint, cache key
+//	decode        body read plus the single scan: envelope fields and graph arrays
+//	canonicalize  graph validation, canonical order, fingerprint, cache key
 //	mem_tier      memory-tier consult (and singleflight arbitration)
 //	singleflight  waiting on an identical in-flight solve
 //	disk_tier     persistent-tier consult

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/taskgraph"
 )
 
 // Config tunes a Proxy. Replicas is required; everything else has a
@@ -108,10 +108,6 @@ type Proxy struct {
 	stats    Stats
 	rr       int // round-robin cursor for fingerprint-less requests
 }
-
-// canonScratch pools the zero-copy canonicalizer used to fingerprint
-// request graphs for routing.
-var canonPool = sync.Pool{New: func() any { return new(taskgraph.Canonicalizer) }}
 
 // New validates cfg, builds the ring and starts the health prober.
 // Replicas start healthy (optimistic) and the first probe round corrects
@@ -440,8 +436,8 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// maxBodyBytes mirrors the replicas' own request-body cap.
-const maxBodyBytes = 32 << 20
+// maxBodyBytes is the replicas' own request-body cap.
+const maxBodyBytes = ingest.MaxBodyBytes
 
 // route is the front door for everything the proxy does not serve
 // itself. Schedule calls are fingerprint-routed; batch calls are routed
@@ -476,10 +472,10 @@ func (p *Proxy) route(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	// Routing decision: fingerprint the graph with the zero-copy
-	// canonicalizer (no *Graph, no full decode) and walk the ring. A body
-	// the canonicalizer rejects still routes — to any healthy replica —
-	// so the replica owns the canonical 400 message.
+	// Routing decision: fingerprint the graph with the single-pass
+	// ingest scan (no *Graph) and walk the ring. A body the ingest
+	// rejects still routes — to any healthy replica — so the replica
+	// owns the canonical 400 message.
 	routeStart := time.Now()
 	fp, hasKey, lane, single := p.fingerprint(r, body)
 	cands := p.candidates(MixFingerprint(fp), hasKey)
@@ -510,42 +506,30 @@ func (p *Proxy) route(w http.ResponseWriter, r *http.Request) {
 
 // fingerprint extracts the routing key from the request: the graph
 // fingerprint for schedule and batch calls (a batch routes by its first
-// member, keeping identical batches on one replica). single reports a
+// member, keeping identical batches on one replica; the other members
+// are not decoded). The body goes through the replicas' own ingest scan,
+// so the key is the fingerprint the replica computes. single reports a
 // single-schedule call — the only shape eligible for hedging.
 func (p *Proxy) fingerprint(r *http.Request, body []byte) (fp uint64, ok bool, lane string, single bool) {
 	if r.Method != http.MethodPost {
 		return 0, false, "", false
 	}
+	req := ingest.Get()
+	defer req.Release()
 	switch r.URL.Path {
 	case "/v1/schedule":
-		var probe struct {
-			Graph json.RawMessage `json:"graph"`
-			Lane  string          `json:"lane"`
-		}
-		if json.Unmarshal(body, &probe) != nil || len(probe.Graph) == 0 {
+		if req.Decode(body, nil) != nil {
 			return 0, false, "", true
 		}
-		c := canonPool.Get().(*taskgraph.Canonicalizer)
-		defer canonPool.Put(c)
-		if c.Parse(probe.Graph) != nil {
-			return 0, false, probe.Lane, true
+		if req.ParseGraph() != nil {
+			return 0, false, req.Lane, true
 		}
-		return c.Fingerprint(), true, probe.Lane, true
+		return req.Graph.Fingerprint(), true, req.Lane, true
 	case "/v1/schedule/batch":
-		var probe struct {
-			Requests []struct {
-				Graph json.RawMessage `json:"graph"`
-			} `json:"requests"`
-		}
-		if json.Unmarshal(body, &probe) != nil || len(probe.Requests) == 0 || len(probe.Requests[0].Graph) == 0 {
+		if req.DecodeBatchHead(body) != nil || req.ParseGraph() != nil {
 			return 0, false, "", false
 		}
-		c := canonPool.Get().(*taskgraph.Canonicalizer)
-		defer canonPool.Put(c)
-		if c.Parse(probe.Requests[0].Graph) != nil {
-			return 0, false, "", false
-		}
-		return c.Fingerprint(), true, "batch", false
+		return req.Graph.Fingerprint(), true, "batch", false
 	default:
 		return 0, false, "", false
 	}

@@ -1,6 +1,6 @@
 // Package proxy implements dtproxy, the routing front of the dtserve
 // replica fleet. It consistent-hashes each request's graph fingerprint —
-// computed by the zero-copy taskgraph.Canonicalizer, no full decode —
+// computed by the replicas' own single-pass ingest scan, no graph built —
 // across the replicas, so every key's singleflight leadership lands on
 // exactly one node fleet-wide: N replicas' duplicate cold solves for a
 // hot key collapse into one, and the shared remote tier (dtcached) turns

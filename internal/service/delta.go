@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ingest"
 )
 
 // DeltaRequest is the wire form of POST /v1/schedule/delta: online
@@ -147,7 +148,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var dreq DeltaRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&dreq); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)).Decode(&dreq); err != nil {
 		writeError(w, badRequest("decode delta request: %v", err))
 		return
 	}
@@ -189,30 +190,30 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if dreq.TimeoutMS != 0 {
 		timeoutMS = dreq.TimeoutMS
 	}
-	raw := rawRequest{
-		Graph: edited,
-		Topo:  ent.Spec,
-		Comm: &CommOverride{
-			Bandwidth: &opt.Comm.Bandwidth,
-			Sigma:     &opt.Comm.Sigma,
-			Tau:       &opt.Comm.Tau,
-			Scale:     &opt.Comm.Scale,
-		},
-		Solver:          opt.Solver,
-		Seed:            opt.Seed,
-		Wb:              &wb,
-		Restarts:        opt.Restarts,
-		Cooperative:     opt.Cooperative,
-		Tempering:       opt.Tempering,
-		TimeoutMS:       timeoutMS,
-		MemberTimeoutMS: opt.MemberTimeout,
-		Lane:            dreq.Lane,
-		NoCache:         dreq.NoCache,
-		Trace:           dreq.Trace,
+	req := ingest.Get()
+	defer req.Release()
+	req.SetGraph(edited)
+	req.Topo = ent.Spec
+	req.Comm = &ingest.CommOverride{
+		Bandwidth: &opt.Comm.Bandwidth,
+		Sigma:     &opt.Comm.Sigma,
+		Tau:       &opt.Comm.Tau,
+		Scale:     &opt.Comm.Scale,
 	}
+	req.Solver = opt.Solver
+	req.Seed = opt.Seed
+	req.Wb = &wb
+	req.Restarts = opt.Restarts
+	req.Cooperative = opt.Cooperative
+	req.Tempering = opt.Tempering
+	req.TimeoutMS = timeoutMS
+	req.MemberTimeoutMS = opt.MemberTimeout
+	req.Lane = dreq.Lane
+	req.NoCache = dreq.NoCache
+	req.Trace = dreq.Trace
 
 	sw, _ := w.(*statusWriter)
-	explicit := wantsTrace(&raw, r)
+	explicit := wantsTrace(req, r)
 	ctx, tr := s.startTrace(r.Context(), sw, t0, explicit)
 	if sw == nil && tr != nil {
 		defer func() { s.finishTrace(tr, time.Since(t0)) }()
@@ -221,9 +222,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if dreq.NoWarm {
 		meta.warmBase = ""
 	}
-	body, status, err := s.process(ctx, &raw, engine.LaneInteractive, meta)
+	body, status, err := s.process(ctx, req, engine.LaneInteractive, meta)
 	if sw != nil {
-		sw.lane = laneName(raw.Lane, engine.LaneInteractive)
+		sw.lane = laneName(req.Lane, engine.LaneInteractive)
 	}
 	if err != nil {
 		writeError(w, err)

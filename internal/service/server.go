@@ -18,9 +18,9 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/solver"
-	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
 
@@ -716,8 +716,6 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 	}{s.cfg.DefaultSolver, solver.List()})
 }
 
-const maxBodyBytes = 32 << 20
-
 // maxRestarts caps the wire restarts knob: each restart clones the
 // annealing packet and runs on its own goroutine per epoch, so an
 // unbounded value would let one request exhaust the process.
@@ -727,7 +725,7 @@ const maxRestarts = 64
 // explicitly: "trace": true on the wire, or ?trace=1 on the URL. The
 // RawQuery guard keeps query parsing (which allocates) off the common
 // path of requests with no query string at all.
-func wantsTrace(req *rawRequest, r *http.Request) bool {
+func wantsTrace(req *ingest.Request, r *http.Request) bool {
 	if req.Trace {
 		return true
 	}
@@ -781,13 +779,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errDraining())
 		return
 	}
-	var req rawRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, badRequest("decode request: %v", err))
+	req := ingest.Get()
+	defer req.Release()
+	if err := req.DecodeBody(w, r); err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
 	sw, _ := w.(*statusWriter)
-	explicit := wantsTrace(&req, r)
+	explicit := wantsTrace(req, r)
 	ctx, tr := s.startTrace(r.Context(), sw, t0, explicit)
 	if sw == nil && tr != nil {
 		// No logging wrapper to complete the trace (handler invoked bare,
@@ -795,7 +794,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer func() { s.finishTrace(tr, time.Since(t0)) }()
 	}
 	meta := &procMeta{}
-	body, status, err := s.process(ctx, &req, engine.LaneInteractive, meta)
+	body, status, err := s.process(ctx, req, engine.LaneInteractive, meta)
 	if sw != nil {
 		sw.lane = laneName(req.Lane, engine.LaneInteractive)
 	}
@@ -894,12 +893,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errDraining())
 		return
 	}
-	var batch rawBatch
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&batch); err != nil {
-		writeError(w, badRequest("decode batch: %v", err))
+	members, err := ingest.DecodeBatchBody(w, r)
+	if err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
-	if len(batch.Requests) == 0 {
+	// Every member's process call has returned by the time the handler
+	// does: both response shapes below drain the fan-out channel to the end.
+	defer func() {
+		for _, m := range members {
+			m.Release()
+		}
+	}()
+	if len(members) == 0 {
 		writeError(w, badRequest("empty batch"))
 		return
 	}
@@ -916,7 +922,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// items (counted in Stats.Cancelled, cached nowhere).
 	bctx, bcancel := context.WithCancel(r.Context())
 	defer bcancel()
-	n := len(batch.Requests)
+	n := len(members)
 	baseID := obs.NewID()
 	if sw != nil {
 		baseID = sw.traceID
@@ -929,14 +935,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// and stage histograms see each member as soon as it finishes,
 		// not when the whole batch does.
 		mt0 := time.Now()
-		explicit := queryTrace || batch.Requests[i].Trace
+		explicit := queryTrace || members[i].Trace
 		mctx := bctx
 		var mtr *obs.Trace
 		if explicit || s.sampler.Sample() {
 			mtr = obs.NewTrace(baseID+"-"+strconv.Itoa(i), mt0)
 			mctx = obs.With(bctx, mtr)
 		}
-		body, status, err := s.process(mctx, &batch.Requests[i], engine.LaneBatch, nil)
+		body, status, err := s.process(mctx, members[i], engine.LaneBatch, nil)
 		if err != nil {
 			s.finishTrace(mtr, time.Since(mt0))
 			return BatchItem{Index: i, Error: err.Error()}
@@ -1015,16 +1021,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
 }
 
-// canonScratch is the fused decode path's per-request scratch: a
-// reusable streaming canonicalizer plus the cache-key document buffer.
-// Pooled, so warm hits allocate no per-request decode state beyond what
-// encoding/json itself needs.
-type canonScratch struct {
-	c   taskgraph.Canonicalizer
-	buf []byte
-}
+// keyBuf is the cache-key document buffer of one request, pooled so a
+// warm hit builds its key without allocating it.
+type keyBuf struct{ b []byte }
 
-var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
 // process turns one wire request into marshaled result bytes: validate,
 // maxTopoMemo bounds the parsed-topology memo; real deployments use a
@@ -1064,32 +1065,29 @@ func (s *Server) parseTopo(spec string) (*topology.Topology, error) {
 // "coalesced". defLane is the QoS lane used when the request names none:
 // interactive for single schedule calls, batch for batch members.
 //
-// The graph arrives as raw bytes and is decoded by the fused
-// canonicalizer: one pass yields the canonical form and fingerprint the
-// cache key hashes, so a warm hit is bounded by that pass plus the
-// response write — no *Graph is built and no canonical re-marshal
-// happens. The solver-ready Graph materializes inside the cold closure,
-// which only runs on a genuine miss (or an explicit nocache solve).
-func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.Lane, meta *procMeta) ([]byte, string, error) {
+// The graph arrives decoded into the request's canonicalizer (the body
+// scan filled its task and edge arrays); ParseGraph validates it and
+// builds the canonical form and fingerprint the cache key hashes, so a
+// warm hit is bounded by the scan, that pass and the response write — no
+// *Graph is built and no canonical re-marshal happens. The solver-ready
+// Graph materializes inside the cold closure, which only runs on a
+// genuine miss (or an explicit nocache solve).
+func (s *Server) process(ctx context.Context, req *ingest.Request, defLane engine.Lane, meta *procMeta) ([]byte, string, error) {
 	if meta == nil {
 		meta = &procMeta{}
 	}
 	tr := obs.FromContext(ctx)
 	canonStart := time.Now()
-	if len(req.Graph) == 0 || string(req.Graph) == "null" {
-		return nil, "", badRequest("missing graph")
-	}
 	// Graph errors precede the other validations, exactly as they did
 	// when the body decode materialized (and validated) the graph before
 	// process ever ran — and they carry the same messages. Acyclicity is
 	// the one check the canonicalizer defers to materialization: a cyclic
 	// graph misses every tier (nothing cyclic was ever cached) and is
 	// rejected by the cold closure with the unchanged wrapped message.
-	scratch := canonPool.Get().(*canonScratch)
-	defer canonPool.Put(scratch)
-	if err := scratch.c.Parse(req.Graph); err != nil {
-		return nil, "", badRequest("decode request: %v", err)
+	if err := req.ParseGraph(); err != nil {
+		return nil, "", badRequest("%v", err)
 	}
+	c := &req.Graph
 	if req.Topo == "" {
 		return nil, "", badRequest("missing topo spec")
 	}
@@ -1107,7 +1105,7 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	if err != nil {
 		return nil, "", badRequest("%v", err)
 	}
-	comm := req.Comm.apply(topology.DefaultCommParams())
+	comm := (*CommOverride)(req.Comm).apply(topology.DefaultCommParams())
 	if req.NoComm {
 		comm = comm.NoComm()
 	}
@@ -1141,8 +1139,10 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	}
 
 	kopt := makeKeyOptions(topo.Name(), comm, slv.Name(), saOpt, req.TimeoutMS, req.MemberTimeoutMS)
-	key, buf, err := fusedKey(&scratch.c, scratch.buf, kopt)
-	scratch.buf = buf
+	kb := keyBufPool.Get().(*keyBuf)
+	defer keyBufPool.Put(kb)
+	key, buf, err := fusedKey(c, kb.b, kopt)
+	kb.b = buf
 	if err != nil {
 		return nil, "", fmt.Errorf("service: cache key: %w", err)
 	}
@@ -1152,11 +1152,11 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	// that pays for a *Graph. It runs at most once per process call (as
 	// flight leader, as a waiter retrying a leader's context death, or
 	// for a nocache solve), always within this frame, so borrowing the
-	// pooled canonicalizer is safe.
+	// pooled request's canonicalizer is safe.
 	cold := func(ctx context.Context) ([]byte, error) {
-		g, err := scratch.c.Graph()
+		g, err := req.BuildGraph()
 		if err != nil {
-			return nil, badRequest("decode request: %v", err)
+			return nil, badRequest("%v", err)
 		}
 		sreq := solver.Request{Graph: g, Topo: topo, Comm: comm, SA: saOpt}
 		sreq.Portfolio.MemberTimeout = time.Duration(req.MemberTimeoutMS) * time.Millisecond
@@ -1169,9 +1169,9 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		// from this result.
 		var idx *simEntry
 		if s.sim != nil && slv.Name() == "sa" && !req.NoCache {
-			idx = &simEntry{Topo: kopt.Topo, Spec: req.Topo, Sketch: scratch.c.Sketch(),
-				Graph: scratch.c.AppendCanonicalJSON(nil), Opt: kopt,
-				NumTasks: scratch.c.NumTasks()}
+			idx = &simEntry{Topo: kopt.Topo, Spec: req.Topo, Sketch: c.Sketch(),
+				Graph: c.AppendCanonicalJSON(nil), Opt: kopt,
+				NumTasks: c.NumTasks()}
 		}
 		return s.solve(ctx, slv, sreq, req.TimeoutMS, topo.Name(), key, lane, idx)
 	}
@@ -1286,7 +1286,7 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		// warm-start from a cached near-miss (or the delta endpoint's
 		// explicit base). The warm path answers the flight too, so
 		// coalesced waiters replay the warm bytes and headers.
-		if body, tag, handled, werr := s.warmAttempt(ctx, scratch, req, kopt, key,
+		if body, tag, handled, werr := s.warmAttempt(ctx, kb, req, kopt, key,
 			meta, topo, comm, saOpt, slv, lane); handled {
 			f.body, f.err = body, werr
 			f.addr, f.warm, f.warmDist = meta.key, meta.warm, meta.warmDist

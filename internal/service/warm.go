@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/solver"
@@ -32,7 +33,7 @@ import (
 // way, and tag is "hit"/"disk" for warm-key replays or "miss" for a
 // warm-started solver execution — a warm solve is still a solve under
 // the conservation law.
-func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *rawRequest,
+func (s *Server) warmAttempt(ctx context.Context, kb *keyBuf, req *ingest.Request,
 	kopt keyOptions, key string, meta *procMeta, topo *topology.Topology,
 	comm topology.CommParams, saOpt core.Options, slv solver.Solver,
 	lane engine.Lane) ([]byte, string, bool, error) {
@@ -45,7 +46,8 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 	}
 	tr := obs.FromContext(ctx)
 	start := time.Now()
-	sk := scratch.c.Sketch()
+	c := &req.Graph
+	sk := c.Sketch()
 	var ent simEntry
 	var dist float64
 	if meta.warmBase != "" {
@@ -92,12 +94,12 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 			seed[t] = e.Proc
 		}
 	}
-	assign := taskgraph.ProjectAssignment(seed, scratch.c.NumTasks(), topo.N())
+	assign := taskgraph.ProjectAssignment(seed, c.NumTasks(), topo.N())
 
 	wopt := kopt
 	wopt.WarmSeed = ent.Key + "@" + strconv.FormatFloat(dist, 'g', -1, 64)
-	warmKey, buf, err := fusedKey(&scratch.c, scratch.buf, wopt)
-	scratch.buf = buf
+	warmKey, buf, err := fusedKey(c, kb.b, wopt)
+	kb.b = buf
 	if err != nil {
 		return nil, "", false, nil
 	}
@@ -122,9 +124,9 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 
 	saw := saOpt
 	saw.Warm = &core.WarmStart{Assignment: assign, Distance: dist}
-	g, err := scratch.c.Graph()
+	g, err := req.BuildGraph()
 	if err != nil {
-		return nil, "", true, badRequest("decode request: %v", err)
+		return nil, "", true, badRequest("%v", err)
 	}
 	sreq := solver.Request{Graph: g, Topo: topo, Comm: comm, SA: saw}
 	sreq.Portfolio.MemberTimeout = time.Duration(req.MemberTimeoutMS) * time.Millisecond
@@ -134,8 +136,8 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 	var idx *simEntry
 	if !req.NoCache {
 		idx = &simEntry{Topo: kopt.Topo, Spec: req.Topo, Sketch: sk,
-			Graph: scratch.c.AppendCanonicalJSON(nil), Opt: kopt,
-			NumTasks: scratch.c.NumTasks()}
+			Graph: c.AppendCanonicalJSON(nil), Opt: kopt,
+			NumTasks: c.NumTasks()}
 	}
 	body, err := s.solve(ctx, slv, sreq, req.TimeoutMS, kopt.Topo, warmKey, lane, idx)
 	return body, "miss", true, err

@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/machsim"
 	"repro/internal/schedule"
 	"repro/internal/taskgraph"
@@ -66,8 +67,10 @@ type ScheduleRequest struct {
 	Restarts int `json:"restarts,omitempty"`
 	// Cooperative makes the SA restarts share one incumbent best cost:
 	// restarts publish improvements at stage barriers and dominated
-	// restarts are abandoned early. Winner-preserving and deterministic
-	// for a fixed seed, so cooperative results cache like plain ones.
+	// restarts are abandoned early. An abandoned restart might have
+	// overtaken the incumbent later, so the result can differ from the
+	// plain restarted solve (either way); it is deterministic for a fixed
+	// seed, so cooperative results cache like plain ones.
 	Cooperative bool `json:"cooperative,omitempty"`
 	// Tempering runs the restarts as a parallel-tempering ladder
 	// (epoch-synchronized replica exchange) instead of independent
@@ -98,13 +101,9 @@ type ScheduleRequest struct {
 // CommOverride overrides communication parameters field by field. Fields
 // are pointers so an absent field keeps its default — crucially, a client
 // overriding only the bandwidth does not silently zero Scale (which would
-// disable communication costs altogether).
-type CommOverride struct {
-	Bandwidth *float64 `json:"bandwidth,omitempty"`
-	Sigma     *float64 `json:"sigma,omitempty"`
-	Tau       *float64 `json:"tau,omitempty"`
-	Scale     *float64 `json:"scale,omitempty"`
-}
+// disable communication costs altogether). It is the ingest package's
+// decode form, so a decoded request's override converts to it for free.
+type CommOverride ingest.CommOverride
 
 // apply overlays the set fields onto p and returns the result.
 func (o *CommOverride) apply(p topology.CommParams) topology.CommParams {
@@ -129,34 +128,6 @@ func (o *CommOverride) apply(p topology.CommParams) topology.CommParams {
 // BatchRequest is the wire form of POST /v1/schedule/batch.
 type BatchRequest struct {
 	Requests []ScheduleRequest `json:"requests"`
-}
-
-// rawRequest is the handler-side decode form of ScheduleRequest: the
-// graph stays as raw bytes so the fused path (taskgraph.Canonicalizer)
-// can build the canonical form and hash the cache key in one pass over
-// them, materializing a *Graph only on a cache miss. Field set and tags
-// must mirror ScheduleRequest exactly.
-type rawRequest struct {
-	Graph           json.RawMessage `json:"graph"`
-	Topo            string          `json:"topo"`
-	Comm            *CommOverride   `json:"comm,omitempty"`
-	NoComm          bool            `json:"nocomm,omitempty"`
-	Solver          string          `json:"solver,omitempty"`
-	Seed            int64           `json:"seed,omitempty"`
-	Wb              *float64        `json:"wb,omitempty"`
-	Restarts        int             `json:"restarts,omitempty"`
-	Cooperative     bool            `json:"cooperative,omitempty"`
-	Tempering       bool            `json:"tempering,omitempty"`
-	TimeoutMS       int             `json:"timeout_ms,omitempty"`
-	MemberTimeoutMS int             `json:"member_timeout_ms,omitempty"`
-	Lane            string          `json:"lane,omitempty"`
-	NoCache         bool            `json:"nocache,omitempty"`
-	Trace           bool            `json:"trace,omitempty"`
-}
-
-// rawBatch is the handler-side decode form of BatchRequest.
-type rawBatch struct {
-	Requests []rawRequest `json:"requests"`
 }
 
 // BatchItem is one element of a batch response: exactly one of Result or
@@ -320,5 +291,14 @@ func fusedKey(c *taskgraph.Canonicalizer, buf []byte, opt keyOptions) (string, [
 	buf = append(buf, ',')
 	buf = append(buf, tail[1:]...) // tail is "{...}": splice its fields after the graph
 	sum := sha256.Sum256(buf)
-	return fmt.Sprintf("%016x-%s", c.Fingerprint(), hex.EncodeToString(sum[:16])), buf, nil
+	// cacheKey's "%016x-%s" layout, built in one allocation.
+	const digits = "0123456789abcdef"
+	var k [16 + 1 + 2*16]byte
+	fp := c.Fingerprint()
+	for i := range 16 {
+		k[i] = digits[fp>>(60-4*i)&0xF]
+	}
+	k[16] = '-'
+	hex.Encode(k[17:], sum[:16])
+	return string(k[:]), buf, nil
 }

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -48,5 +49,31 @@ func BenchmarkReadyTrackerFullRun(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCanonicalizerParse is the canonicalize layer of a served
+// request on its own: a warm Canonicalizer parsing a 400-task wire
+// document (as json.Marshal emits it) and emitting its canonical bytes.
+func BenchmarkCanonicalizerParse(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	g, err := GnpDAG("bench", 400, 0.02, 1, 50, 10, 400, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, err := json.Marshal(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c Canonicalizer
+	var buf []byte
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Parse(doc); err != nil {
+			b.Fatal(err)
+		}
+		buf = c.AppendCanonicalJSON(buf[:0])
 	}
 }

@@ -1,13 +1,16 @@
 package taskgraph
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/jsonscan"
 )
 
 // Canonicalizer fuses request decoding with canonicalization: one Parse
@@ -20,14 +23,54 @@ import (
 // CanonicalJSON of the decoded graph, and Fingerprint matches
 // Graph.Fingerprint, so keys derived from either path are interchangeable.
 //
+// Decoding is a hand-written scan (internal/jsonscan) over the wire
+// schema for the documents a plain encoding/json client sends; anything
+// else — escapes, non-ASCII text, case-variant or duplicate keys, null
+// members — is decoded by encoding/json instead, so accept/reject
+// decisions, values and error text are encoding/json's either way.
+//
 // A Canonicalizer is reusable: Parse resets all state, and steady-state
-// reuse (e.g. from a sync.Pool) allocates only what encoding/json itself
-// needs. It is not safe for concurrent use.
+// reuse (e.g. from a sync.Pool) of the scanned path allocates nothing.
+// It is not safe for concurrent use.
 type Canonicalizer struct {
-	jg    jsonGraph  // decoded wire form; Tasks ID-sorted, Edges in input order
-	canon []jsonEdge // canonical edge list: (from,to)-sorted, duplicates merged
+	name  span        // graph name, in strs
+	tasks []canonTask // input order while decoding, ID-sorted after Canonicalize
+	edges []jsonEdge  // input order
+	canon []jsonEdge  // (from,to)-sorted, duplicates merged: edges itself, or merge
+	merge []jsonEdge  // canon's own backing array when edges is not canonical
+	strs  []byte      // name bytes, as decoded
 	fp    uint64
 	sk    Sketch
+	skOK  bool // sk is computed
+}
+
+// canonTask is a decoded task whose name lives in the canonicalizer's
+// string arena, so decoding creates no strings.
+type canonTask struct {
+	ID   int
+	Load float64
+	Name span
+}
+
+// span is a [lo, hi) range of Canonicalizer.strs.
+type span struct{ lo, hi int32 }
+
+func (c *Canonicalizer) str(sp span) []byte { return c.strs[sp.lo:sp.hi] }
+
+func (c *Canonicalizer) addStr(b []byte) span {
+	lo := int32(len(c.strs))
+	c.strs = append(c.strs, b...)
+	return span{lo, int32(len(c.strs))}
+}
+
+func (c *Canonicalizer) reset() {
+	c.name = span{}
+	c.tasks = c.tasks[:0]
+	c.edges = c.edges[:0]
+	c.canon = nil
+	c.strs = c.strs[:0]
+	c.fp = 0
+	c.skOK = false
 }
 
 // Parse decodes and validates one graph document, leaving the canonical
@@ -40,24 +83,13 @@ type Canonicalizer struct {
 // fingerprint are well-defined for cyclic inputs, and the served cache
 // path only materializes a Graph on a miss.
 func (c *Canonicalizer) Parse(data []byte) error {
-	// Zero the reused backing arrays up to capacity: json.Unmarshal
-	// decodes into existing elements without clearing them, so a stale
-	// "name" or "bits" from the previous document would leak into this
-	// one wherever the new document omits the field.
-	tasks := c.jg.Tasks[:cap(c.jg.Tasks)]
-	for i := range tasks {
-		tasks[i] = jsonTask{}
+	s := jsonscan.Scanner{Data: data}
+	if c.Scan(&s) && s.AtEnd() {
+		return c.Canonicalize()
 	}
-	edges := c.jg.Edges[:cap(c.jg.Edges)]
-	for i := range edges {
-		edges[i] = jsonEdge{}
-	}
-	c.jg.Name = ""
-	c.jg.Tasks = tasks[:0]
-	c.jg.Edges = edges[:0]
-	c.canon = c.canon[:0]
-	c.fp = 0
-	if err := json.Unmarshal(data, &c.jg); err != nil {
+	c.reset()
+	var jg jsonGraph
+	if err := json.Unmarshal(data, &jg); err != nil {
 		// Match json.Unmarshal into a *Graph exactly: its validity
 		// pre-scan reports syntax errors bare, before Graph.UnmarshalJSON
 		// (whose "taskgraph: decode:" wrapper applies to everything else)
@@ -68,15 +100,216 @@ func (c *Canonicalizer) Parse(data []byte) error {
 		}
 		return fmt.Errorf("taskgraph: decode: %w", err)
 	}
-	tasks = c.jg.Tasks
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
+	c.name = c.addStr([]byte(jg.Name))
+	for _, t := range jg.Tasks {
+		c.tasks = append(c.tasks, canonTask{ID: t.ID, Load: t.Load, Name: c.addStr([]byte(t.Name))})
+	}
+	c.edges = append(c.edges, jg.Edges...)
+	return c.Canonicalize()
+}
+
+// Graph document keys, for the scanner's case-fold check: a key that is
+// not one of these exactly but folds to one is left to encoding/json.
+var (
+	graphKeys = []string{"name", "tasks", "edges"}
+	taskKeys  = []string{"id", "name", "load"}
+	edgeKeys  = []string{"from", "to", "bits"}
+)
+
+// Scan resets c and decodes the graph object at s's position with the
+// hand-written scanner, advancing s past it. It reports false when the
+// object is outside the scanner's subset (see jsonscan) or malformed;
+// the caller must then decode the document with Parse, which defers to
+// encoding/json. After a true return, Canonicalize completes the work
+// Parse does.
+func (c *Canonicalizer) Scan(s *jsonscan.Scanner) bool {
+	c.reset()
+	if !s.Consume('{') {
+		return false
+	}
+	var seen [3]bool
+	for first := true; ; first = false {
+		more, ok := s.Next('}', first)
+		if !ok {
+			return false
+		}
+		if !more {
+			return true
+		}
+		key, ok := s.Key()
+		if !ok {
+			return false
+		}
+		var f int
+		switch string(key) {
+		case "name":
+			f = 0
+			name, ok := s.String()
+			if !ok {
+				return false
+			}
+			c.name = c.addStr(name)
+		case "tasks":
+			f = 1
+			if !c.scanTasks(s) {
+				return false
+			}
+		case "edges":
+			f = 2
+			if !c.scanEdges(s) {
+				return false
+			}
+		default:
+			if jsonscan.FoldsToAny(key, graphKeys) || !s.Skip() {
+				return false
+			}
+			continue
+		}
+		if seen[f] {
+			return false // duplicate key: encoding/json keeps the last
+		}
+		seen[f] = true
+	}
+}
+
+func (c *Canonicalizer) scanTasks(s *jsonscan.Scanner) bool {
+	if !s.Consume('[') {
+		return false
+	}
+	for first := true; ; first = false {
+		more, ok := s.Next(']', first)
+		if !ok {
+			return false
+		}
+		if !more {
+			return true
+		}
+		if !s.Consume('{') {
+			return false
+		}
+		var t canonTask
+		var seen [3]bool
+		for first := true; ; first = false {
+			more, ok := s.Next('}', first)
+			if !ok {
+				return false
+			}
+			if !more {
+				break
+			}
+			key, ok := s.Key()
+			if !ok {
+				return false
+			}
+			var f int
+			switch string(key) {
+			case "id":
+				f = 0
+				id, ok := s.Int()
+				if !ok {
+					return false
+				}
+				t.ID = int(id)
+			case "name":
+				f = 1
+				name, ok := s.String()
+				if !ok {
+					return false
+				}
+				t.Name = c.addStr(name)
+			case "load":
+				f = 2
+				if t.Load, ok = s.Float(); !ok {
+					return false
+				}
+			default:
+				if jsonscan.FoldsToAny(key, taskKeys) || !s.Skip() {
+					return false
+				}
+				continue
+			}
+			if seen[f] {
+				return false
+			}
+			seen[f] = true
+		}
+		c.tasks = append(c.tasks, t)
+	}
+}
+
+func (c *Canonicalizer) scanEdges(s *jsonscan.Scanner) bool {
+	if !s.Consume('[') {
+		return false
+	}
+	for first := true; ; first = false {
+		more, ok := s.Next(']', first)
+		if !ok {
+			return false
+		}
+		if !more {
+			return true
+		}
+		if !s.Consume('{') {
+			return false
+		}
+		var e jsonEdge
+		var seen [3]bool
+		for first := true; ; first = false {
+			more, ok := s.Next('}', first)
+			if !ok {
+				return false
+			}
+			if !more {
+				break
+			}
+			key, ok := s.Key()
+			if !ok {
+				return false
+			}
+			var f int
+			var v int64
+			switch string(key) {
+			case "from":
+				f = 0
+				v, ok = s.Int()
+				e.From = int(v)
+			case "to":
+				f = 1
+				v, ok = s.Int()
+				e.To = int(v)
+			case "bits":
+				f = 2
+				e.Bits, ok = s.Float()
+			default:
+				if jsonscan.FoldsToAny(key, edgeKeys) || !s.Skip() {
+					return false
+				}
+				continue
+			}
+			if !ok || seen[f] {
+				return false
+			}
+			seen[f] = true
+		}
+		c.edges = append(c.edges, e)
+	}
+}
+
+// Canonicalize validates a decoded document and builds its canonical
+// form and fingerprint. Parse calls it; after Scan the caller does.
+func (c *Canonicalizer) Canonicalize() error {
+	tasks := c.tasks
+	if !slices.IsSortedFunc(tasks, cmpTaskID) {
+		slices.SortFunc(tasks, cmpTaskID)
+	}
 	for i := range tasks {
 		if tasks[i].ID != i {
 			return fmt.Errorf("taskgraph: decode: task IDs not dense (got %d at position %d)", tasks[i].ID, i)
 		}
 	}
 	n := len(tasks)
-	for _, e := range c.jg.Edges {
+	strictlySorted := true
+	for i, e := range c.edges {
 		// Mirrors Graph.AddEdge's checks (and their order) exactly.
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("taskgraph: decode: taskgraph: edge (%d,%d): unknown task", e.From, e.To)
@@ -87,42 +320,45 @@ func (c *Canonicalizer) Parse(data []byte) error {
 		if e.Bits < 0 {
 			return fmt.Errorf("taskgraph: decode: taskgraph: edge (%d,%d): negative volume %g", e.From, e.To, e.Bits)
 		}
-	}
-	// Canonical edge order: stable-sort a copy by (from, to) and merge
-	// duplicates by accumulating volumes. Stability preserves arrival
-	// order within a duplicate group, so the float sum associates exactly
-	// like repeated AddEdge calls — merged volumes are bit-identical to
-	// the decoded graph's.
-	c.canon = append(c.canon, c.jg.Edges...)
-	sort.SliceStable(c.canon, func(i, j int) bool {
-		if c.canon[i].From != c.canon[j].From {
-			return c.canon[i].From < c.canon[j].From
+		if i > 0 && cmpEdge(c.edges[i-1], e) >= 0 {
+			strictlySorted = false
 		}
-		return c.canon[i].To < c.canon[j].To
-	})
-	w := 0
-	for _, e := range c.canon {
-		if w > 0 && c.canon[w-1].From == e.From && c.canon[w-1].To == e.To {
-			c.canon[w-1].Bits += e.Bits
-			continue
-		}
-		c.canon[w] = e
-		w++
 	}
-	c.canon = c.canon[:w]
-	// The fingerprint and the minhash sketch ride the same canonical pass:
-	// both are pure functions of the task and merged-edge lists already in
-	// hand, so the zero-copy wire path gains similarity lookups without a
-	// second traversal or any allocation (the sketch is a value array).
+	if strictlySorted {
+		// Already canonical (what Graph.MarshalJSON emits): share the
+		// input-order list.
+		c.canon = c.edges
+	} else {
+		// Canonical edge order: stable-sort a copy by (from, to) and merge
+		// duplicates by accumulating volumes. Stability preserves arrival
+		// order within a duplicate group, so the float sum associates
+		// exactly like repeated AddEdge calls — merged volumes are
+		// bit-identical to the decoded graph's.
+		c.merge = append(c.merge[:0], c.edges...)
+		c.canon = c.merge
+		slices.SortStableFunc(c.canon, cmpEdge)
+		w := 0
+		for _, e := range c.canon {
+			if w > 0 && c.canon[w-1].From == e.From && c.canon[w-1].To == e.To {
+				c.canon[w-1].Bits += e.Bits
+				continue
+			}
+			c.canon[w] = e
+			w++
+		}
+		c.canon = c.canon[:w]
+	}
 	c.fp = c.fingerprint()
-	c.sk.Reset()
-	for _, t := range c.jg.Tasks {
-		c.sk.Add(taskShingle(t.ID, t.Load))
-	}
-	for _, e := range c.canon {
-		c.sk.Add(edgeShingle(e.From, e.To, e.Bits))
-	}
 	return nil
+}
+
+func cmpTaskID(a, b canonTask) int { return cmp.Compare(a.ID, b.ID) }
+
+func cmpEdge(a, b jsonEdge) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // fnv64Offset and fnv64Prime are the FNV-1a parameters of hash/fnv,
@@ -146,8 +382,8 @@ func fnv1aU64(h, v uint64) uint64 {
 // count, clamped loads in ID order, then (from, to, bits) per canonical
 // edge.
 func (c *Canonicalizer) fingerprint() uint64 {
-	h := fnv1aU64(fnv64Offset, uint64(len(c.jg.Tasks)))
-	for _, t := range c.jg.Tasks {
+	h := fnv1aU64(fnv64Offset, uint64(len(c.tasks)))
+	for _, t := range c.tasks {
 		load := t.Load
 		if load < 0 {
 			load = 0
@@ -167,11 +403,26 @@ func (c *Canonicalizer) fingerprint() uint64 {
 func (c *Canonicalizer) Fingerprint() uint64 { return c.fp }
 
 // NumTasks returns the parsed graph's task count.
-func (c *Canonicalizer) NumTasks() int { return len(c.jg.Tasks) }
+func (c *Canonicalizer) NumTasks() int { return len(c.tasks) }
 
 // Sketch returns the parsed graph's structural minhash sketch, equal to
-// Graph.Sketch of the materialized graph.
-func (c *Canonicalizer) Sketch() Sketch { return c.sk }
+// Graph.Sketch of the materialized graph. It is computed on first use
+// from the canonical task and merged-edge lists: only the similarity
+// paths of a cold annealing solve read it, so a cache hit never pays
+// for its 64 lanes.
+func (c *Canonicalizer) Sketch() Sketch {
+	if !c.skOK {
+		c.sk.Reset()
+		for _, t := range c.tasks {
+			c.sk.Add(taskShingle(t.ID, t.Load))
+		}
+		for _, e := range c.canon {
+			c.sk.Add(edgeShingle(e.From, e.To, e.Bits))
+		}
+		c.skOK = true
+	}
+	return c.sk
+}
 
 // AppendCanonicalJSON appends the canonical compact JSON encoding to dst
 // and returns the extended slice. The bytes are identical to
@@ -180,21 +431,21 @@ func (c *Canonicalizer) Sketch() Sketch { return c.sk }
 // spellings for empty task/edge lists.
 func (c *Canonicalizer) AppendCanonicalJSON(dst []byte) []byte {
 	dst = append(dst, `{"name":`...)
-	dst = appendJSONString(dst, c.jg.Name)
+	dst = appendJSONString(dst, c.str(c.name))
 	dst = append(dst, `,"tasks":`...)
-	if len(c.jg.Tasks) == 0 {
+	if len(c.tasks) == 0 {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, t := range c.jg.Tasks {
+		for i, t := range c.tasks {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"id":`...)
 			dst = strconv.AppendInt(dst, int64(t.ID), 10)
-			if t.Name != "" {
+			if t.Name.hi > t.Name.lo {
 				dst = append(dst, `,"name":`...)
-				dst = appendJSONString(dst, t.Name)
+				dst = appendJSONString(dst, c.str(t.Name))
 			}
 			dst = append(dst, `,"load":`...)
 			load := t.Load
@@ -228,17 +479,18 @@ func (c *Canonicalizer) AppendCanonicalJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// Graph materializes the parsed document as a *Graph, exactly as
+// Graph materializes the parsed document as a *Graph from the decoded
+// task and edge lists — no JSON is read again — exactly as
 // Graph.UnmarshalJSON would have: tasks added in ID order, edges in input
 // order (so adjacency iteration order — and therefore downstream float
 // summation order — is unchanged), then a full Validate for the deferred
 // acyclicity check.
 func (c *Canonicalizer) Graph() (*Graph, error) {
-	fresh := New(c.jg.Name)
-	for _, t := range c.jg.Tasks {
-		fresh.AddTask(t.Name, t.Load)
+	fresh := New(string(c.str(c.name)))
+	for _, t := range c.tasks {
+		fresh.AddTask(string(c.str(t.Name)), t.Load)
 	}
-	for _, e := range c.jg.Edges {
+	for _, e := range c.edges {
 		if err := fresh.AddEdge(TaskID(e.From), TaskID(e.To), e.Bits); err != nil {
 			return nil, fmt.Errorf("taskgraph: decode: %w", err)
 		}
@@ -252,8 +504,8 @@ func (c *Canonicalizer) Graph() (*Graph, error) {
 const jsonHex = "0123456789abcdef"
 
 // appendJSONString appends s as an encoding/json string literal with the
-// default HTML escaping — byte-identical to json.Marshal(s).
-func appendJSONString(dst []byte, s string) []byte {
+// default HTML escaping — byte-identical to json.Marshal(string(s)).
+func appendJSONString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -279,7 +531,8 @@ func appendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// At most one rune's bytes: the conversion stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if r == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, `\ufffd`...)

@@ -1,20 +1,27 @@
 package taskgraph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ReadyTracker maintains the set of ready tasks (tasks whose predecessors
 // have all completed) as execution progresses. It is the bookkeeping behind
 // the paper's annealing packets: "the ready tasks have no unfinished
 // predecessors" (§4.1).
 //
-// The tracker is arena-friendly: the ready set is the state array itself
-// (no map), Reset rewinds it to the initial state without allocating, and
-// AppendReady/Complete reuse caller- or tracker-owned buffers so a warm
-// simulation loop performs no heap allocations.
+// The tracker is arena-friendly: the ready set is a bitmap beside the
+// state array (no map), Reset rewinds both to the initial state without
+// allocating, and AppendReady/Complete reuse caller- or tracker-owned
+// buffers so a warm simulation loop performs no heap allocations. The
+// bitmap makes AppendReady cost proportional to the ready set rather than
+// to the task count: a simulator epoch on a 1000-task graph with a dozen
+// ready tasks visits 16 words instead of 1000 state bytes.
 type ReadyTracker struct {
 	g         *Graph
-	remaining []int  // unfinished predecessor count per task
-	state     []byte // 0 = waiting, 1 = ready, 2 = claimed, 3 = done
+	remaining []int    // unfinished predecessor count per task
+	state     []byte   // 0 = waiting, 1 = ready, 2 = claimed, 3 = done
+	ready     []uint64 // bit i set iff state[i] == stReady
 	numReady  int
 	done      int
 	newlyBuf  []TaskID // reusable Complete output buffer
@@ -34,6 +41,7 @@ func NewReadyTracker(g *Graph) *ReadyTracker {
 		g:         g,
 		remaining: make([]int, n),
 		state:     make([]byte, n),
+		ready:     make([]uint64, readyWords(n)),
 	}
 	rt.Reset()
 	return rt
@@ -48,11 +56,25 @@ func (rt *ReadyTracker) Rebind(g *Graph) {
 	if cap(rt.state) < n {
 		rt.remaining = make([]int, n)
 		rt.state = make([]byte, n)
+		rt.ready = make([]uint64, readyWords(n))
 	} else {
 		rt.remaining = rt.remaining[:n]
 		rt.state = rt.state[:n]
+		rt.ready = rt.ready[:readyWords(n)]
 	}
 	rt.Reset()
+}
+
+// readyWords is the ready bitmap's length in words for n tasks.
+func readyWords(n int) int { return (n + 63) / 64 }
+
+func (rt *ReadyTracker) setReady(id TaskID) {
+	rt.state[id] = stReady
+	rt.ready[id>>6] |= 1 << (id & 63)
+}
+
+func (rt *ReadyTracker) clearReady(id TaskID) {
+	rt.ready[id>>6] &^= 1 << (id & 63)
 }
 
 // Reset rewinds the tracker to its initial state (every root ready,
@@ -60,10 +82,11 @@ func (rt *ReadyTracker) Rebind(g *Graph) {
 func (rt *ReadyTracker) Reset() {
 	rt.numReady = 0
 	rt.done = 0
+	clear(rt.ready)
 	for i := range rt.state {
 		rt.remaining[i] = rt.g.InDegree(TaskID(i))
 		if rt.remaining[i] == 0 {
-			rt.state[i] = stReady
+			rt.setReady(TaskID(i))
 			rt.numReady++
 		} else {
 			rt.state[i] = stWaiting
@@ -81,9 +104,10 @@ func (rt *ReadyTracker) Ready() []TaskID {
 // order and returns the extended slice. Passing a reusable buffer keeps
 // the call allocation-free once the buffer has grown to the peak size.
 func (rt *ReadyTracker) AppendReady(dst []TaskID) []TaskID {
-	for i, st := range rt.state {
-		if st == stReady {
-			dst = append(dst, TaskID(i))
+	for w, word := range rt.ready {
+		for word != 0 {
+			dst = append(dst, TaskID(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return dst
@@ -103,6 +127,7 @@ func (rt *ReadyTracker) Claim(id TaskID) error {
 		return fmt.Errorf("taskgraph: claim of task %d in state %d", id, rt.state[id])
 	}
 	rt.state[id] = stClaimed
+	rt.clearReady(id)
 	rt.numReady--
 	return nil
 }
@@ -113,7 +138,7 @@ func (rt *ReadyTracker) Release(id TaskID) error {
 	if rt.state[id] != stClaimed {
 		return fmt.Errorf("taskgraph: release of task %d in state %d", id, rt.state[id])
 	}
-	rt.state[id] = stReady
+	rt.setReady(id)
 	rt.numReady++
 	return nil
 }
@@ -126,6 +151,7 @@ func (rt *ReadyTracker) Complete(id TaskID) ([]TaskID, error) {
 	switch rt.state[id] {
 	case stClaimed:
 	case stReady:
+		rt.clearReady(id)
 		rt.numReady--
 	default:
 		return nil, fmt.Errorf("taskgraph: completion of task %d in state %d", id, rt.state[id])
@@ -136,7 +162,7 @@ func (rt *ReadyTracker) Complete(id TaskID) ([]TaskID, error) {
 	for _, h := range rt.g.Successors(id) {
 		rt.remaining[h.To]--
 		if rt.remaining[h.To] == 0 {
-			rt.state[h.To] = stReady
+			rt.setReady(h.To)
 			rt.numReady++
 			// Insertion sort keeps ascending ID order; successor lists are
 			// short, and this avoids the per-call sort.Slice closure.

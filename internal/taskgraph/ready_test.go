@@ -130,3 +130,75 @@ func TestPropertyTrackerFollowsAnyTopoOrder(t *testing.T) {
 		}
 	}
 }
+
+// Property: over random DAGs (sizes straddling the 64-task bitmap word)
+// and random Claim/Release/Complete sequences, including Rebind onto a
+// smaller graph, AppendReady lists exactly the tasks a scan of the state
+// bytes finds ready, in ascending order, and NumReady agrees.
+func TestPropertyAppendReadyMatchesStateScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	check := func(trial int, rt *ReadyTracker) {
+		t.Helper()
+		var want []TaskID
+		for i, st := range rt.state {
+			if st == stReady {
+				want = append(want, TaskID(i))
+			}
+		}
+		got := rt.AppendReady(nil)
+		if len(got) != len(want) || rt.NumReady() != len(want) {
+			t.Fatalf("trial %d: AppendReady %v, NumReady %d, state scan %v", trial, got, rt.NumReady(), want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: AppendReady %v, state scan %v", trial, got, want)
+			}
+		}
+	}
+	var rt *ReadyTracker
+	for trial := 0; trial < 60; trial++ {
+		g := randomDAG(rng, 1+rng.Intn(200), rng.Float64()*0.1)
+		if rt == nil || rng.Intn(2) == 0 {
+			rt = NewReadyTracker(g)
+		} else {
+			rt.Rebind(g) // reuses the bitmap when the new graph fits
+		}
+		check(trial, rt)
+		var claimed []TaskID
+		for step := 0; !rt.AllDone(); step++ {
+			ready := rt.Ready()
+			switch op := rng.Intn(4); {
+			case op == 0 && len(ready) > 0:
+				id := ready[rng.Intn(len(ready))]
+				if err := rt.Claim(id); err != nil {
+					t.Fatal(err)
+				}
+				claimed = append(claimed, id)
+			case op == 1 && len(claimed) > 0:
+				k := rng.Intn(len(claimed))
+				if err := rt.Release(claimed[k]); err != nil {
+					t.Fatal(err)
+				}
+				claimed = append(claimed[:k], claimed[k+1:]...)
+			case op == 2 && len(claimed) > 0:
+				k := rng.Intn(len(claimed))
+				if _, err := rt.Complete(claimed[k]); err != nil {
+					t.Fatal(err)
+				}
+				claimed = append(claimed[:k], claimed[k+1:]...)
+			case len(ready) > 0:
+				if _, err := rt.Complete(ready[rng.Intn(len(ready))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(trial, rt)
+			if step > 10*g.NumTasks()+100 {
+				t.Fatalf("trial %d: no progress", trial)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			rt.Reset()
+			check(trial, rt)
+		}
+	}
+}
