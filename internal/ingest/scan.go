@@ -2,9 +2,9 @@ package ingest
 
 import "repro/internal/jsonscan"
 
-// envelopeKeys are the envelope's wire keys, indexed by field number; a
-// key that folds to one of them without matching it exactly is left to
-// encoding/json.
+// envelopeKeys are the envelope's wire keys, in scanField's field
+// order; a key that folds to one of them without matching it exactly is
+// left to encoding/json.
 var envelopeKeys = [...]string{"graph", "topo", "comm", "nocomm", "solver", "seed", "wb",
 	"restarts", "cooperative", "tempering", "timeout_ms", "member_timeout_ms", "lane",
 	"nocache", "trace"}
@@ -35,75 +35,82 @@ func (r *Request) scan(s *jsonscan.Scanner) bool {
 		if !ok {
 			return false
 		}
-		f := -1
-		for i, k := range envelopeKeys {
-			if string(key) == k {
-				f = i
-				break
-			}
-		}
+		f, ok := r.scanField(s, key)
 		if f < 0 {
 			if jsonscan.FoldsToAny(key, envelopeKeys[:]) || !s.Skip() {
 				return false
 			}
 			continue
 		}
-		if seen&(1<<f) != 0 {
-			return false // duplicate key: encoding/json keeps the last
+		if !ok || seen&(1<<f) != 0 {
+			return false // a duplicate key: encoding/json keeps the last
 		}
 		seen |= 1 << f
-		if !r.scanField(s, f) {
-			return false
-		}
 	}
 }
 
-// scanField decodes the value of envelope field f.
-func (r *Request) scanField(s *jsonscan.Scanner, f int) bool {
-	var ok bool
+// scanField decodes the value of the envelope field named key and
+// returns the field's index in envelopeKeys, or -1 (reading nothing)
+// when key names no field.
+func (r *Request) scanField(s *jsonscan.Scanner, key []byte) (f int, ok bool) {
 	var n int64
 	var b []byte
-	switch envelopeKeys[f] {
+	switch string(key) {
 	case "graph":
-		ok = r.Graph.Scan(s)
+		f, ok = 0, r.Graph.Scan(s)
 		r.graph = graphScanned
 	case "topo":
+		f = 1
 		b, ok = s.String()
 		r.Topo = string(b)
 	case "comm":
-		ok = r.scanComm(s)
+		f, ok = 2, r.scanComm(s)
 	case "nocomm":
+		f = 3
 		r.NoComm, ok = s.Bool()
 	case "solver":
+		f = 4
 		b, ok = s.String()
 		r.Solver = string(b)
 	case "seed":
+		f = 5
 		r.Seed, ok = s.Int()
 	case "wb":
+		f = 6
 		r.wb, ok = s.Float()
 		r.Wb = &r.wb
 	case "restarts":
+		f = 7
 		n, ok = s.Int()
 		r.Restarts = int(n)
 	case "cooperative":
+		f = 8
 		r.Cooperative, ok = s.Bool()
 	case "tempering":
+		f = 9
 		r.Tempering, ok = s.Bool()
 	case "timeout_ms":
+		f = 10
 		n, ok = s.Int()
 		r.TimeoutMS = int(n)
 	case "member_timeout_ms":
+		f = 11
 		n, ok = s.Int()
 		r.MemberTimeoutMS = int(n)
 	case "lane":
+		f = 12
 		b, ok = s.String()
 		r.Lane = string(b)
 	case "nocache":
+		f = 13
 		r.NoCache, ok = s.Bool()
 	case "trace":
+		f = 14
 		r.Trace, ok = s.Bool()
+	default:
+		return -1, false
 	}
-	return ok
+	return f, ok
 }
 
 // scanComm decodes the "comm" object into r's own CommOverride.
