@@ -7,13 +7,14 @@
 //
 // The scan covers what a plain encoding/json client sends (exact keys,
 // no escapes, ASCII strings, strict numbers, no duplicate keys, no null
-// members). Any other body is decoded by encoding/json exactly as the
-// service always decoded it — a json.Decoder reading the envelope, then
-// json.Unmarshal semantics for the graph — so encoding/json stays the one
-// reference for what is accepted, what the values are and what an error
-// says: case-insensitive keys, the last of duplicate keys, ignored
-// unknown fields, U+FFFD for invalid UTF-8 and "only the first JSON value
-// is read" all hold on both paths. The choice is made by the input alone.
+// members). Any other body is decoded by encoding/json with the
+// semantics the service always had — a json.Decoder reading the
+// envelope, then json.Unmarshal semantics for the graph — so
+// encoding/json stays the one reference for what is accepted, what the
+// values are and what an error says: case-insensitive keys, the last of
+// duplicate keys, ignored unknown fields, U+FFFD for invalid UTF-8 and
+// "only the first JSON value is read" all hold on both paths. The choice
+// is made by the input alone.
 package ingest
 
 import (
@@ -194,13 +195,12 @@ func (bb *bodyBuf) release(body []byte) {
 // readBody reads the body, capped at MaxBodyBytes, into buf. It returns
 // the bytes read and the error that ended the read — nil for a clean
 // EOF — so Decode sees exactly the stream a json.Decoder would have.
+//
+// buf grows only as bytes arrive, never from the declared Content-Length:
+// a client that declares a large body and then stalls costs no more
+// memory than it has sent.
 func readBody(w http.ResponseWriter, hr *http.Request, buf []byte) ([]byte, error) {
 	src := http.MaxBytesReader(w, hr.Body, MaxBodyBytes)
-	if n := hr.ContentLength; n > 0 && n <= MaxBodyBytes && int64(cap(buf)) <= n {
-		// One spare byte lets the read that reports EOF land without a
-		// regrow.
-		buf = make([]byte, 0, n+1)
-	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]

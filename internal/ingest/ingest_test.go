@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -387,5 +388,61 @@ func TestPlainClientBodiesScan(t *testing.T) {
 			t.Errorf("plain client body left to encoding/json: %s", body)
 		}
 		checkParity(t, body)
+	}
+}
+
+// TestScanFieldsFollowWireKeys ties the scanner's field dispatch to the
+// decode forms' tags: scanField maps each envelope key to its index in
+// rawRequest, and scanComm fills the CommOverride field of each comm key.
+func TestScanFieldsFollowWireKeys(t *testing.T) {
+	var r Request
+	for i, key := range envelopeKeys {
+		if f, _ := r.scanField(&jsonscan.Scanner{Data: []byte("null")}, []byte(key)); f != i {
+			t.Errorf("scanField(%q) = field %d, want %d", key, f, i)
+		}
+	}
+	if f, _ := r.scanField(&jsonscan.Scanner{Data: []byte("null")}, []byte("unknown")); f != -1 {
+		t.Errorf("scanField(unknown) = field %d, want -1", f)
+	}
+	for i, key := range commKeys {
+		r.reset()
+		if !r.scanComm(&jsonscan.Scanner{Data: []byte(`{"` + key + `":1}`)}) {
+			t.Fatalf("comm key %q not scanned", key)
+		}
+		if reflect.ValueOf(r.Comm).Elem().Field(i).IsNil() {
+			t.Errorf("comm key %q did not set CommOverride field %d", key, i)
+		}
+	}
+}
+
+// TestDeclaredLengthDoesNotSizeBuffer sends bodies that declare
+// MaxBodyBytes in Content-Length but carry a few bytes, as a client that
+// stalls after its headers does: the bytes allocated must stay near the
+// bytes sent, not the bytes declared.
+func TestDeclaredLengthDoesNotSizeBuffer(t *testing.T) {
+	body := []byte(`{"graph":` + plainGraph + `,"topo":"ring:4"`) // truncated
+	decode := func(batch bool) {
+		w, hr := post(body)
+		hr.ContentLength = MaxBodyBytes
+		if batch {
+			_, _ = DecodeBatchBody(w, hr)
+			return
+		}
+		r := Get()
+		_ = r.DecodeBody(w, hr)
+		r.Release()
+	}
+	for _, batch := range []bool{false, true} {
+		decode(batch)
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			decode(batch)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+			t.Errorf("batch=%v: %d bytes allocated per %d-byte body declaring %d", batch, per, len(body), MaxBodyBytes)
+		}
 	}
 }

@@ -1,18 +1,32 @@
 package ingest
 
-import "repro/internal/jsonscan"
+import (
+	"reflect"
+	"strings"
 
-// envelopeKeys are the envelope's wire keys, in scanField's field
-// order; a key that folds to one of them without matching it exactly is
-// left to encoding/json.
-var envelopeKeys = [...]string{"graph", "topo", "comm", "nocomm", "solver", "seed", "wb",
-	"restarts", "cooperative", "tempering", "timeout_ms", "member_timeout_ms", "lane",
-	"nocache", "trace"}
-
-var (
-	commKeys  = []string{"bandwidth", "sigma", "tau", "scale"}
-	batchKeys = []string{"requests"}
+	"repro/internal/jsonscan"
 )
+
+// The wire keys the scanner knows, taken from the encoding/json decode
+// forms' tags so the two paths share one schema. A key that folds to one
+// of them without matching it exactly is left to encoding/json.
+// envelopeKeys is in rawRequest's field order, which is the order of
+// scanField's field indices; commKeys is in CommOverride's field order,
+// which scanComm follows.
+var (
+	envelopeKeys = jsonNames(reflect.TypeFor[rawRequest]())
+	commKeys     = jsonNames(reflect.TypeFor[CommOverride]())
+	batchKeys    = jsonNames(reflect.TypeFor[rawBatch]())
+)
+
+// jsonNames returns the json key of each field of struct type t.
+func jsonNames(t reflect.Type) []string {
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}
 
 // scan decodes one envelope object at s's position into r (reset). It
 // reports false for anything outside the scanner's subset; bytes after
@@ -37,7 +51,7 @@ func (r *Request) scan(s *jsonscan.Scanner) bool {
 		}
 		f, ok := r.scanField(s, key)
 		if f < 0 {
-			if jsonscan.FoldsToAny(key, envelopeKeys[:]) || !s.Skip() {
+			if jsonscan.FoldsToAny(key, envelopeKeys) || !s.Skip() {
 				return false
 			}
 			continue

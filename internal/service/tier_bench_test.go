@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -72,13 +73,29 @@ func BenchmarkServeMemoryHit(b *testing.B) {
 // get + response write. This is the path the zero-copy wire work bounds:
 // allocations here are the request's true steady-state cost.
 func BenchmarkWarmHitHTTP(b *testing.B) {
+	benchWarmHit(b, benchPayload(b, false))
+}
+
+// BenchmarkWarmHitHTTPEscaped is BenchmarkWarmHitHTTP with the last
+// task name spelled with a \u escape, as Python's json.dumps
+// (ensure_ascii) writes non-ASCII text and Go's json.Marshal writes <, >
+// and &. Such a body is outside the hand-written scanner's subset, and
+// the escape sits after every other task, so this measures the
+// encoding/json fallback behind the longest rejected scan.
+func BenchmarkWarmHitHTTPEscaped(b *testing.B) {
+	payload := benchPayload(b, false)
+	i := bytes.LastIndex(payload, []byte(`"name":"`)) + len(`"name":"`)
+	payload = slices.Concat(payload[:i], []byte(`\u00e9`), payload[i:])
+	benchWarmHit(b, payload)
+}
+
+func benchWarmHit(b *testing.B, payload []byte) {
 	svc, err := New(Config{CacheSize: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer svc.Close()
 	h := svc.Handler()
-	payload := benchPayload(b, false)
 	warm := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(payload))
 	wrec := httptest.NewRecorder()
 	h.ServeHTTP(wrec, warm)

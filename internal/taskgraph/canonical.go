@@ -36,8 +36,7 @@ type Canonicalizer struct {
 	name  span        // graph name, in strs
 	tasks []canonTask // input order while decoding, ID-sorted after Canonicalize
 	edges []jsonEdge  // input order
-	canon []jsonEdge  // (from,to)-sorted, duplicates merged: edges itself, or merge
-	merge []jsonEdge  // canon's own backing array when edges is not canonical
+	canon []jsonEdge  // (from,to)-sorted, duplicates merged
 	strs  []byte      // name bytes, as decoded
 	fp    uint64
 	sk    Sketch
@@ -67,7 +66,7 @@ func (c *Canonicalizer) reset() {
 	c.name = span{}
 	c.tasks = c.tasks[:0]
 	c.edges = c.edges[:0]
-	c.canon = nil
+	c.canon = c.canon[:0]
 	c.strs = c.strs[:0]
 	c.fp = 0
 	c.skOK = false
@@ -308,8 +307,7 @@ func (c *Canonicalizer) Canonicalize() error {
 		}
 	}
 	n := len(tasks)
-	strictlySorted := true
-	for i, e := range c.edges {
+	for _, e := range c.edges {
 		// Mirrors Graph.AddEdge's checks (and their order) exactly.
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("taskgraph: decode: taskgraph: edge (%d,%d): unknown task", e.From, e.To)
@@ -320,34 +318,24 @@ func (c *Canonicalizer) Canonicalize() error {
 		if e.Bits < 0 {
 			return fmt.Errorf("taskgraph: decode: taskgraph: edge (%d,%d): negative volume %g", e.From, e.To, e.Bits)
 		}
-		if i > 0 && cmpEdge(c.edges[i-1], e) >= 0 {
-			strictlySorted = false
-		}
 	}
-	if strictlySorted {
-		// Already canonical (what Graph.MarshalJSON emits): share the
-		// input-order list.
-		c.canon = c.edges
-	} else {
-		// Canonical edge order: stable-sort a copy by (from, to) and merge
-		// duplicates by accumulating volumes. Stability preserves arrival
-		// order within a duplicate group, so the float sum associates
-		// exactly like repeated AddEdge calls — merged volumes are
-		// bit-identical to the decoded graph's.
-		c.merge = append(c.merge[:0], c.edges...)
-		c.canon = c.merge
-		slices.SortStableFunc(c.canon, cmpEdge)
-		w := 0
-		for _, e := range c.canon {
-			if w > 0 && c.canon[w-1].From == e.From && c.canon[w-1].To == e.To {
-				c.canon[w-1].Bits += e.Bits
-				continue
-			}
-			c.canon[w] = e
-			w++
+	// Canonical edge order: stable-sort a copy by (from, to) and merge
+	// duplicates by accumulating volumes. Stability preserves arrival
+	// order within a duplicate group, so the float sum associates exactly
+	// like repeated AddEdge calls — merged volumes are bit-identical to
+	// the decoded graph's.
+	c.canon = append(c.canon, c.edges...)
+	slices.SortStableFunc(c.canon, cmpEdge)
+	w := 0
+	for _, e := range c.canon {
+		if w > 0 && c.canon[w-1].From == e.From && c.canon[w-1].To == e.To {
+			c.canon[w-1].Bits += e.Bits
+			continue
 		}
-		c.canon = c.canon[:w]
+		c.canon[w] = e
+		w++
 	}
+	c.canon = c.canon[:w]
 	c.fp = c.fingerprint()
 	return nil
 }
